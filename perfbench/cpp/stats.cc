@@ -1,0 +1,47 @@
+#include "stats.hh"
+
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+
+namespace perfbench {
+
+double
+quantile(std::vector<double> values, double q)
+{
+    if (values.empty())
+        return 0.0;
+    std::sort(values.begin(), values.end());
+    q = std::clamp(q, 0.0, 1.0);
+    const double pos = q * static_cast<double>(values.size() - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(pos));
+    const std::size_t hi = std::min(lo + 1, values.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return values[lo] + (values[hi] - values[lo]) * frac;
+}
+
+double
+median(const std::vector<double> &values)
+{
+    return quantile(values, 0.5);
+}
+
+double
+mean(const std::vector<double> &values)
+{
+    if (values.empty())
+        return 0.0;
+    return std::accumulate(values.begin(), values.end(), 0.0) /
+           static_cast<double>(values.size());
+}
+
+std::size_t
+countAbove(const std::vector<double> &values, double q)
+{
+    const double cut = quantile(values, q);
+    return static_cast<std::size_t>(
+        std::count_if(values.begin(), values.end(),
+                      [cut](double v) { return v > cut; }));
+}
+
+} // namespace perfbench
