@@ -1,17 +1,10 @@
 /**
  * @file
- * Micro-benchmarks (google-benchmark) for the intra-job parallelism
- * work, in serial/parallel and AoS/SoA pairs:
- *
- *  - BM_GeometryFrontEnd/N: one full geometry/tiling front-end pass
- *    (vertex transforms, assembly, overlap binning, Parameter Buffer
- *    writes) over a generated benchmark scene with N host threads
- *    (N = 1 is the serial path, N > 1 the fan-out + serial replay).
- *    The outputs are bit-identical; only host time differs.
- *  - BM_QuadTraversalAoS / BM_QuadTraversalSoA: the raster hot path's
- *    per-quad walk (coverage, depth, LOD reads) over the same quads in
- *    array-of-structs Quad form vs the QuadStream structure-of-arrays
- *    layout the pipeline now uses.
+ * Micro-benchmarks (google-benchmark) for the raster hot path's quad
+ * layout: BM_QuadTraversalAoS / BM_QuadTraversalSoA walk the same
+ * quads per quad (coverage, depth, LOD reads) in array-of-structs
+ * Quad form vs the QuadStream structure-of-arrays layout the pipeline
+ * uses.
  *
  * The perf CI job runs this binary and uploads its JSON next to
  * BENCH_perf.json.
@@ -21,22 +14,12 @@
 
 #include <vector>
 
-#include "core/geometry_phase.hh"
 #include "raster/quad_stream.hh"
 #include "raster/rasterizer.hh"
-#include "workloads/scenegen.hh"
 
 namespace {
 
 using namespace dtexl;
-
-const Scene &
-benchScene(const GpuConfig &cfg)
-{
-    static const Scene scene =
-        generateScene(benchmarkByAlias("GTr"), cfg, 0);
-    return scene;
-}
 
 GpuConfig
 benchCfg()
@@ -46,28 +29,6 @@ benchCfg()
     cfg.screenHeight = 256;
     return cfg;
 }
-
-void
-BM_GeometryFrontEnd(benchmark::State &state)
-{
-    GpuConfig cfg = benchCfg();
-    cfg.geomThreads = static_cast<std::uint32_t>(state.range(0));
-    const Scene &scene = benchScene(cfg);
-    MemHierarchy mem(cfg);
-    ParamBuffer pb(cfg.numTiles());
-    GeometryPhase geom(cfg, mem, pb);
-    std::uint64_t prims = 0;
-    for (auto _ : state) {
-        // Caches stay warm across iterations, like frames of a session;
-        // run() itself clears and refills the Parameter Buffer.
-        const GeometryPhase::Result r = geom.run(scene);
-        prims = r.primitives;
-        benchmark::DoNotOptimize(r.cycles);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-        state.iterations() * prims));
-}
-BENCHMARK(BM_GeometryFrontEnd)->Arg(1)->Arg(2)->Arg(4);
 
 /** Quads of one busy tile, in both layouts, for the traversal pair. */
 struct TileQuads

@@ -79,7 +79,7 @@ hashConfig(const GpuConfig &cfg)
     h.u32(143); h.u32(cfg.dram.rowMissLatency);
     h.u32(144); h.u32(cfg.dram.bytesPerCycle);
     // Excluded host-execution knobs (see result_key.hh): simFastPath,
-    // geomThreads, rasterThreads, simdMode, watchdogCycles, *.fastPath.
+    // simdMode, watchdogCycles, *.fastPath.
     return h.value();
 }
 

@@ -137,18 +137,6 @@ cmpLtI4(I32x4 a, I32x4 b)
 /** Round-to-nearest-even int->float, same as static_cast<float>. */
 inline F32x4 toF4(I32x4 a) { return {_mm_cvtepi32_ps(a.v)}; }
 
-/**
- * In-place 4x4 transpose: lane j of output i is lane i of input j.
- * Pure data movement, so trivially exact; the SoA gather step of
- * batched kernels (QuadStream::lod4) uses it to turn four contiguous
- * per-quad loads into across-quad lanes without a scalar roundtrip.
- */
-inline void
-transposeF4(F32x4 &a, F32x4 &b, F32x4 &c, F32x4 &d)
-{
-    _MM_TRANSPOSE4_PS(a.v, b.v, c.v, d.v);
-}
-
 inline U32x4 splatU4(std::uint32_t x)
 {
     return {_mm_set1_epi32(static_cast<std::int32_t>(x))};
@@ -182,16 +170,6 @@ inline U32x4 operator^(U32x4 a, U32x4 b)
 }
 inline U32x4 shlU4(U32x4 a, int n) { return {_mm_slli_epi32(a.v, n)}; }
 inline U32x4 shrU4(U32x4 a, int n) { return {_mm_srli_epi32(a.v, n)}; }
-inline U32x4 cmpEqU4(U32x4 a, U32x4 b)
-{
-    return {_mm_cmpeq_epi32(a.v, b.v)};
-}
-inline U32x4
-selectU4(U32x4 m, U32x4 a, U32x4 b)
-{
-    return {_mm_or_si128(_mm_and_si128(m.v, a.v),
-                         _mm_andnot_si128(m.v, b.v))};
-}
 inline void
 storeU4(std::uint32_t *p, U32x4 a)
 {
@@ -266,21 +244,6 @@ minStdF4(F32x4 a, F32x4 b)
     return selectF4(cmpLtF4(b, a), b, a);
 }
 
-inline void
-transposeF4(F32x4 &a, F32x4 &b, F32x4 &c, F32x4 &d)
-{
-    const float32x4x2_t ab = vtrnq_f32(a.v, b.v);
-    const float32x4x2_t cd = vtrnq_f32(c.v, d.v);
-    a.v = vcombine_f32(vget_low_f32(ab.val[0]),
-                       vget_low_f32(cd.val[0]));
-    b.v = vcombine_f32(vget_low_f32(ab.val[1]),
-                       vget_low_f32(cd.val[1]));
-    c.v = vcombine_f32(vget_high_f32(ab.val[0]),
-                       vget_high_f32(cd.val[0]));
-    d.v = vcombine_f32(vget_high_f32(ab.val[1]),
-                       vget_high_f32(cd.val[1]));
-}
-
 inline I32x4 splatI4(std::int32_t x) { return {vdupq_n_s32(x)}; }
 inline I32x4
 makeI4(std::int32_t a, std::int32_t b, std::int32_t c, std::int32_t d)
@@ -313,12 +276,6 @@ inline U32x4
 shrU4(U32x4 a, int n)
 {
     return {vshlq_u32(a.v, vdupq_n_s32(-n))};
-}
-inline U32x4 cmpEqU4(U32x4 a, U32x4 b) { return {vceqq_u32(a.v, b.v)}; }
-inline U32x4
-selectU4(U32x4 m, U32x4 a, U32x4 b)
-{
-    return {vbslq_u32(m.v, a.v, b.v)};
 }
 inline void storeU4(std::uint32_t *p, U32x4 a) { vst1q_u32(p, a.v); }
 inline std::uint32_t
@@ -429,18 +386,6 @@ minStdF4(F32x4 a, F32x4 b)
     return selectF4(cmpLtF4(b, a), b, a);
 }
 
-inline void
-transposeF4(F32x4 &a, F32x4 &b, F32x4 &c, F32x4 &d)
-{
-    F32x4 *rows[4] = {&a, &b, &c, &d};
-    for (int i = 0; i < 4; ++i)
-        for (int j = i + 1; j < 4; ++j) {
-            const float t = rows[i]->v[j];
-            rows[i]->v[j] = rows[j]->v[i];
-            rows[j]->v[i] = t;
-        }
-}
-
 inline I32x4 splatI4(std::int32_t x) { return {{x, x, x, x}}; }
 inline I32x4
 makeI4(std::int32_t a, std::int32_t b, std::int32_t c, std::int32_t d)
@@ -490,22 +435,6 @@ shrU4(U32x4 a, int n)
     U32x4 r;
     for (int i = 0; i < 4; ++i)
         r.v[i] = a.v[i] >> n;
-    return r;
-}
-inline U32x4
-cmpEqU4(U32x4 a, U32x4 b)
-{
-    U32x4 r;
-    for (int i = 0; i < 4; ++i)
-        r.v[i] = a.v[i] == b.v[i] ? ~0u : 0u;
-    return r;
-}
-inline U32x4
-selectU4(U32x4 m, U32x4 a, U32x4 b)
-{
-    U32x4 r;
-    for (int i = 0; i < 4; ++i)
-        r.v[i] = m.v[i] ? a.v[i] : b.v[i];
     return r;
 }
 inline void

@@ -295,9 +295,6 @@ runJob(const BatchJob &job, StatRegistry *registry,
                                  "frame %u", f);
             }
             res.frames = session.history();
-            if (const ExecDomainSet *doms =
-                    session.gpu().rasterPipeline().execDomains())
-                res.domainWallMs = doms->domainWallMs();
 
             if (keyed && rc.writeEnabled()) {
                 CachedResult out;

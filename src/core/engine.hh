@@ -138,13 +138,6 @@ struct BatchResult
     std::vector<FrameStats> frames;
     /** Wall time of this job alone, milliseconds. */
     double wallMs = 0.0;
-    /**
-     * Cumulative wall time each raster execution domain spent inside
-     * the partitioned fragment-stage event loop, milliseconds. Empty
-     * when raster_threads resolves to 1 (the serial loop runs inline).
-     * Perf reporting only — never part of the simulated results.
-     */
-    std::vector<double> domainWallMs;
     /** Worker that ran the job (0-based; determinism debugging). */
     std::uint32_t worker = 0;
     /**

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <utility>
 
 #include <fcntl.h>
@@ -641,6 +642,11 @@ Daemon::handlePing()
         if (rec->state == JobState::Running)
             ++running;
     }
+    std::size_t conn_threads = 0;
+    {
+        std::lock_guard<std::mutex> lk(connMu_);
+        conn_threads = conns_.size();
+    }
     JsonWriter w;
     w.boolean("ok", true)
         .str("state",
@@ -652,7 +658,8 @@ Daemon::handlePing()
         .u64("running", static_cast<std::uint64_t>(running))
         .u64("workers", cfg_.workers)
         .u64("queue_depth",
-             static_cast<std::uint64_t>(cfg_.queueDepth));
+             static_cast<std::uint64_t>(cfg_.queueDepth))
+        .u64("conn_threads", static_cast<std::uint64_t>(conn_threads));
     return w.finish();
 }
 
@@ -744,8 +751,9 @@ Daemon::dispatch(const std::string &line)
 // ---- connection & accept loops ------------------------------------
 
 void
-Daemon::connLoop(int fd)
+Daemon::connLoop(Conn &conn)
 {
+    const int fd = conn.fd;
     LineReader reader(fd);
     std::string line;
     while (reader.next(line)) {
@@ -767,10 +775,32 @@ Daemon::connLoop(int fd)
             break;
     }
     ::shutdown(fd, SHUT_RDWR);
+    {
+        // Deregister before closing: once closed, accept() may reuse
+        // the fd number for a new client.
+        std::lock_guard<std::mutex> lk(connMu_);
+        conn.fd = -1;
+    }
     ::close(fd);
-    std::lock_guard<std::mutex> lk(connMu_);
-    connFds_.erase(std::remove(connFds_.begin(), connFds_.end(), fd),
-                   connFds_.end());
+}
+
+void
+Daemon::reapConnections()
+{
+    std::list<Conn> finished;
+    {
+        std::lock_guard<std::mutex> lk(connMu_);
+        for (auto it = conns_.begin(); it != conns_.end();) {
+            const auto next = std::next(it);
+            if (it->fd < 0)
+                finished.splice(finished.end(), conns_, it);
+            it = next;
+        }
+    }
+    // Each thread has cleared its fd, so it is past its last use of
+    // the lock and about to return.
+    for (Conn &c : finished)
+        c.thread.join();
 }
 
 void
@@ -852,6 +882,9 @@ Daemon::acceptLoop()
         noteDrainSignals();
         if (drainLevel_.load(std::memory_order_relaxed) >= 1)
             return;
+        // Join the threads of closed connections as we go, so a
+        // long-lived daemon holds one thread per *open* connection.
+        reapConnections();
         // The 200 ms timeout is a backstop; signals poke the wake
         // pipe so a drain is noticed immediately.
         const int n = ::poll(fds, 2, 200);
@@ -870,12 +903,10 @@ Daemon::acceptLoop()
             const int fd = ::accept(listenFd_, nullptr, nullptr);
             if (fd < 0)
                 continue;
-            {
-                std::lock_guard<std::mutex> lk(connMu_);
-                connFds_.push_back(fd);
-            }
-            connThreads_.emplace_back(
-                [this, fd] { connLoop(fd); });
+            std::lock_guard<std::mutex> lk(connMu_);
+            Conn &conn = conns_.emplace_back();
+            conn.fd = fd;
+            conn.thread = std::thread([this, &conn] { connLoop(conn); });
         }
     }
 }
@@ -999,12 +1030,14 @@ Daemon::run()
     // writing their report (SHUT_RD leaves the write side alone).
     {
         std::lock_guard<std::mutex> lk(connMu_);
-        for (int fd : connFds_)
-            ::shutdown(fd, SHUT_RD);
+        for (const Conn &c : conns_)
+            if (c.fd >= 0)
+                ::shutdown(c.fd, SHUT_RD);
     }
-    for (std::thread &t : connThreads_)
-        t.join();
-    connThreads_.clear();
+    // The accept loop is gone, so nothing adds or erases entries now.
+    for (Conn &c : conns_)
+        c.thread.join();
+    conns_.clear();
     EventBus::global().setTap(nullptr);
     setSignalWakeFd(-1);
     journal_.close();

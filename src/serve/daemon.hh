@@ -26,6 +26,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -97,7 +98,9 @@ class Daemon
   private:
     // -- threads --
     void acceptLoop();
-    void connLoop(int fd);
+    struct Conn;
+    void connLoop(Conn &conn);
+    void reapConnections();
     void workerLoop(unsigned worker);
     void retryLoop();
 
@@ -135,7 +138,6 @@ class Daemon
 
     std::vector<std::thread> workers_;
     std::thread retryThread_;
-    std::vector<std::thread> connThreads_;
 
     // Daemon-wide state under mu_ (cv_ signals drain progress).
     std::mutex mu_;
@@ -156,8 +158,30 @@ class Daemon
 
     int listenFd_ = -1;
     int wakePipe_[2] = {-1, -1};
+    /**
+     * One client connection and the thread serving it. The thread
+     * holds the Conn's address, so it is neither copied nor moved.
+     */
+    struct Conn
+    {
+        Conn() = default;
+        Conn(const Conn &) = delete;
+        Conn &operator=(const Conn &) = delete;
+
+        /** Open socket; -1 once connLoop() is done with it. */
+        int fd = -1;
+        std::thread thread;
+    };
     std::mutex connMu_;
-    std::vector<int> connFds_;
+    /**
+     * Connections whose thread is not yet joined (under connMu_; a
+     * std::list so each Conn stays put while its thread runs).
+     * connLoop() clears Conn::fd under the lock *before* closing the
+     * socket, so drain never shuts down an fd number accept() has
+     * already handed to a newer client; the accept loop joins and
+     * erases such finished entries (reapConnections()).
+     */
+    std::list<Conn> conns_;
 
     struct Subscriber
     {

@@ -3,71 +3,26 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/log.hh"
 #include "tiling/overlap.hh"
 
 namespace dtexl {
 
-namespace {
-
-/** Tile-index bounding box of a primitive, clamped to the screen. */
-struct TileBounds
-{
-    std::int32_t tx0, ty0, tx1, ty1;
-};
-
-TileBounds
-tileBounds(const GpuConfig &cfg, const Primitive &prim)
+Cycle
+PolyListBuilder::binPrimitive(const Primitive &prim, Cycle now)
 {
     const float ts = static_cast<float>(cfg.tileSize);
     const auto tiles_x = static_cast<std::int32_t>(cfg.tilesX());
     const auto tiles_y = static_cast<std::int32_t>(cfg.tilesY());
-
-    TileBounds b;
-    b.tx0 = std::max<std::int32_t>(
+    const std::int32_t tx0 = std::max<std::int32_t>(
         0, static_cast<std::int32_t>(std::floor(prim.minX() / ts)));
-    b.ty0 = std::max<std::int32_t>(
+    const std::int32_t ty0 = std::max<std::int32_t>(
         0, static_cast<std::int32_t>(std::floor(prim.minY() / ts)));
-    b.tx1 = std::min<std::int32_t>(
+    const std::int32_t tx1 = std::min<std::int32_t>(
         tiles_x - 1,
         static_cast<std::int32_t>(std::floor(prim.maxX() / ts)));
-    b.ty1 = std::min<std::int32_t>(
+    const std::int32_t ty1 = std::min<std::int32_t>(
         tiles_y - 1,
         static_cast<std::int32_t>(std::floor(prim.maxY() / ts)));
-    return b;
-}
-
-} // namespace
-
-void
-PolyListBuilder::overlapTiles(const GpuConfig &cfg, const Primitive &prim,
-                              std::vector<TileId> &out)
-{
-    out.clear();
-    const float ts = static_cast<float>(cfg.tileSize);
-    const TileBounds b = tileBounds(cfg, prim);
-    for (std::int32_t ty = b.ty0; ty <= b.ty1; ++ty) {
-        for (std::int32_t tx = b.tx0; tx <= b.tx1; ++tx) {
-            const RectF rect{static_cast<float>(tx) * ts,
-                             static_cast<float>(ty) * ts,
-                             static_cast<float>(tx + 1) * ts,
-                             static_cast<float>(ty + 1) * ts};
-            if (!triangleOverlapsRect(prim.v[0].screen, prim.v[1].screen,
-                                      prim.v[2].screen, rect)) {
-                continue;
-            }
-            out.push_back(static_cast<TileId>(ty) * cfg.tilesX() +
-                          static_cast<TileId>(tx));
-        }
-    }
-}
-
-Cycle
-PolyListBuilder::binPrecomputed(const Primitive &prim,
-                                const std::vector<TileId> &overlaps,
-                                Cycle now)
-{
-    const TileBounds b = tileBounds(cfg, prim);
 
     Cycle cursor = now;
     const std::size_t index = pb.addPrimitive(prim);
@@ -76,18 +31,22 @@ PolyListBuilder::binPrecomputed(const Primitive &prim,
     cursor = std::max(cursor, mem.tileAccess(pb.attrAddr(index),
                                              AccessType::Write, cursor));
 
-    // Hardware still tests every candidate tile in the bounding box —
-    // precomputing the outcome saves host time, not modelled cycles.
-    std::size_t next = 0;
-    for (std::int32_t ty = b.ty0; ty <= b.ty1; ++ty) {
-        for (std::int32_t tx = b.tx0; tx <= b.tx1; ++tx) {
+    // Exact-overlap test against every candidate tile in the bounding
+    // box; a list entry is appended and written per overlapped tile.
+    for (std::int32_t ty = ty0; ty <= ty1; ++ty) {
+        for (std::int32_t tx = tx0; tx <= tx1; ++tx) {
             cursor += kBinTestCost;
+            const RectF rect{static_cast<float>(tx) * ts,
+                             static_cast<float>(ty) * ts,
+                             static_cast<float>(tx + 1) * ts,
+                             static_cast<float>(ty + 1) * ts};
+            if (!triangleOverlapsRect(prim.v[0].screen, prim.v[1].screen,
+                                      prim.v[2].screen, rect)) {
+                continue;
+            }
             const TileId tile =
                 static_cast<TileId>(ty) * cfg.tilesX() +
                 static_cast<TileId>(tx);
-            if (next >= overlaps.size() || overlaps[next] != tile)
-                continue;
-            ++next;
             const std::size_t n = pb.tileList(tile).size();
             pb.appendToTile(tile, index);
             cursor = std::max(
@@ -96,16 +55,7 @@ PolyListBuilder::binPrecomputed(const Primitive &prim,
             ++entriesWritten;
         }
     }
-    dtexl_assert(next == overlaps.size(),
-                 "overlap set does not match primitive bounds");
     return cursor;
-}
-
-Cycle
-PolyListBuilder::binPrimitive(const Primitive &prim, Cycle now)
-{
-    overlapTiles(cfg, prim, overlapScratch);
-    return binPrecomputed(prim, overlapScratch, now);
 }
 
 } // namespace dtexl

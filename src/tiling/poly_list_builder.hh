@@ -3,20 +3,10 @@
  * The Polygon List Builder (Figure 3): bins each assembled primitive
  * into the per-tile lists of the Parameter Buffer, writing attribute
  * records and list entries through the Tile Cache.
- *
- * Like the Vertex Stage, binning is split into a pure half
- * (overlapTiles(): which tiles a primitive lands in — geometry only)
- * and a timed half (binPrecomputed(): Parameter Buffer writes and
- * per-candidate test cost), so the parallel front-end can run the
- * overlap tests off-thread and replay the memory traffic serially.
- * binPrimitive() composes the two, keeping the serial path identical
- * by construction.
  */
 
 #ifndef DTEXL_TILING_POLY_LIST_BUILDER_HH
 #define DTEXL_TILING_POLY_LIST_BUILDER_HH
-
-#include <vector>
 
 #include "common/config.hh"
 #include "mem/hierarchy.hh"
@@ -44,24 +34,6 @@ class PolyListBuilder
      */
     Cycle binPrimitive(const Primitive &prim, Cycle now);
 
-    /**
-     * The tiles @p prim overlaps, in bounding-box scan order (the
-     * order binPrimitive() appends them). Pure: no Parameter Buffer or
-     * memory side effects.
-     */
-    static void overlapTiles(const GpuConfig &cfg, const Primitive &prim,
-                             std::vector<TileId> &out);
-
-    /**
-     * Timed half of binPrimitive() for a primitive whose overlap set
-     * was precomputed with overlapTiles(): walks the same bounding-box
-     * candidates charging kBinTestCost each, and appends + writes a
-     * list entry when the candidate matches the next precomputed
-     * overlap. Cursor arithmetic is identical to binPrimitive().
-     */
-    Cycle binPrecomputed(const Primitive &prim,
-                         const std::vector<TileId> &overlaps, Cycle now);
-
     std::uint64_t tileEntriesWritten() const { return entriesWritten; }
 
   private:
@@ -72,8 +44,6 @@ class PolyListBuilder
     MemHierarchy &mem;
     ParamBuffer &pb;
     std::uint64_t entriesWritten = 0;
-    /** binPrimitive() scratch (capacity persists across primitives). */
-    std::vector<TileId> overlapScratch;
 };
 
 } // namespace dtexl

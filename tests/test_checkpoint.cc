@@ -4,7 +4,7 @@
  * SimulationSession::saveCheckpoint/tryResumeCheckpoint): a job killed
  * at ANY checkpoint boundary and resumed must finish with byte-identical
  * FrameStats, image hashes and registry counters — including when the
- * resuming process uses different host thread counts, and including
+ * resuming process uses a different --simd mode, and including
  * when the checkpoint on disk is corrupt (detected, logged, restart
  * from frame 0, still bit-exact). Also proves the engine-level --resume
  * path through runBatch().
@@ -206,47 +206,55 @@ TEST(CheckpointTest, ResumeAtEveryFrameBoundaryIsBitExact)
     }
 }
 
-TEST(CheckpointTest, ResumeAcrossThreadCountChangesIsBitExact)
+TEST(CheckpointTest, ResumeAcrossSimdModeChangesIsBitExact)
 {
-    // Host thread knobs are excluded from the key (hashConfig()), so a
-    // checkpoint taken by a serial run must resume bit-identically on a
-    // differently-threaded host.
-    const std::string dir = tempDir("ckpt_threads");
-    GpuConfig serial_cfg = small(makeDTexLConfig());
-    serial_cfg.geomThreads = 1;
-    serial_cfg.rasterThreads = 1;
-    GpuConfig threaded_cfg = serial_cfg;
-    threaded_cfg.geomThreads = 4;
-    threaded_cfg.rasterThreads = 2;
+    // The SIMD dispatch mode is a host knob excluded from the key
+    // (hashConfig()), so a checkpoint taken under one mode must resume
+    // bit-identically under the other, in both directions.
+    const std::string dir = tempDir("ckpt_simd");
+    GpuConfig auto_cfg = small(makeDTexLConfig());
+    auto_cfg.simdMode = SimdMode::Auto;
+    GpuConfig scalar_cfg = auto_cfg;
+    scalar_cfg.simdMode = SimdMode::Scalar;
 
     const std::vector<Scene> scenes =
-        makeScenes("GTr", serial_cfg, kFrames);
-    const ResultKey key = makeKey(scenes, serial_cfg);
-    ASSERT_EQ(key.config, makeKey(scenes, threaded_cfg).config);
+        makeScenes("GTr", auto_cfg, kFrames);
+    const ResultKey key = makeKey(scenes, auto_cfg);
+    ASSERT_EQ(key.config, makeKey(scenes, scalar_cfg).config);
 
     StatRegistry ref_reg("ref");
     const std::vector<FrameStats> ref =
-        uninterruptedRun(serial_cfg, scenes, "job.t", &ref_reg);
+        uninterruptedRun(auto_cfg, scenes, "job.t", &ref_reg);
 
-    const std::string path = dir + "/ckpt-threads.bin";
+    const struct
     {
-        StatRegistry reg("victim");
-        SimulationSession session(serial_cfg, scenes[0], "job.t");
+        const GpuConfig &save;
+        const GpuConfig &resume;
+        const char *what;
+    } legs[] = {{auto_cfg, scalar_cfg, "auto -> scalar"},
+                {scalar_cfg, auto_cfg, "scalar -> auto"}};
+    for (const auto &leg : legs) {
+        SCOPED_TRACE(leg.what);
+        const std::string path = dir + "/ckpt-simd.bin";
+        {
+            StatRegistry reg("victim");
+            SimulationSession session(leg.save, scenes[0], "job.t");
+            session.setStatRegistry(&reg);
+            session.renderFrame();
+            session.renderFrame(scenes[1]);
+            session.saveCheckpoint(path, key);
+        }
+
+        StatRegistry reg("resumed");
+        SimulationSession session(leg.resume, scenes[0], "job.t");
         session.setStatRegistry(&reg);
-        session.renderFrame();
-        session.renderFrame(scenes[1]);
-        session.saveCheckpoint(path, key);
+        ASSERT_EQ(session.tryResumeCheckpoint(path, key), 2u);
+        for (std::uint32_t f = 2; f < kFrames; ++f)
+            session.renderFrame(scenes[f]);
+
+        expectSameHistory(ref, session.history(), "resume");
+        expectSameRegistry(ref_reg, reg);
     }
-
-    StatRegistry reg("resumed");
-    SimulationSession session(threaded_cfg, scenes[0], "job.t");
-    session.setStatRegistry(&reg);
-    ASSERT_EQ(session.tryResumeCheckpoint(path, key), 2u);
-    for (std::uint32_t f = 2; f < kFrames; ++f)
-        session.renderFrame(scenes[f]);
-
-    expectSameHistory(ref, session.history(), "threaded resume");
-    expectSameRegistry(ref_reg, reg);
 }
 
 // ---- Failure paths -----------------------------------------------

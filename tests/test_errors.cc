@@ -2,7 +2,8 @@
  * @file
  * Structured error model tests: the SimError taxonomy and exit-code
  * mapping, GpuConfig::validate() coverage (every rejected knob names
- * itself and its legal range), crash-report files, the failure-flush
+ * itself and its legal range, retired knobs are unknown options),
+ * crash-report files, the failure-flush
  * hook registry, and the guarded-main wrapper every CLI exits through.
  */
 
@@ -16,6 +17,7 @@
 #include "common/config.hh"
 #include "common/log.hh"
 #include "common/sim_error.hh"
+#include "telemetry/cli_options.hh"
 
 namespace dtexl {
 namespace {
@@ -34,6 +36,20 @@ expectConfigReject(const std::function<void(GpuConfig &)> &mutate,
         EXPECT_EQ(e.kind(), ErrorKind::Config);
         EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
             << knob << " not named in: " << e.what();
+    }
+}
+
+/** Expect @p fn to throw UserInput whose message contains @p text. */
+void
+expectUserReject(const std::function<void()> &fn, const std::string &text)
+{
+    try {
+        fn();
+        FAIL() << "expected UserInput SimError: " << text;
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::UserInput);
+        EXPECT_NE(std::string(e.what()).find(text), std::string::npos)
+            << text << " not in: " << e.what();
     }
 }
 
@@ -126,8 +142,22 @@ TEST(ConfigValidate, RejectsEveryBrokenKnobByName)
         "rowMissLatency");
     expectConfigReject([](GpuConfig &c) { c.telemetryLevel = 9; },
                        "telemetry");
-    expectConfigReject([](GpuConfig &c) { c.geomThreads = 1000; },
-                       "geom_threads");
+
+    // The retired per-simulation thread knobs are unknown options now,
+    // as config keys and as CLI flags alike (one serial simulation per
+    // job; --jobs is the only host parallelism).
+    for (const char *key : {"geom_threads", "raster_threads"}) {
+        GpuConfig cfg;
+        expectUserReject([&] { applyConfigOption(cfg, key, "2"); },
+                         std::string("unknown config option '") + key +
+                             "'");
+    }
+    for (const char *flag : {"--geom-threads=2", "--raster-threads=2"}) {
+        CommonCliOptions opts;
+        EXPECT_FALSE(opts.tryParse(flag)) << flag;
+        expectUserReject([&] { CommonCliOptions::rejectUnknown(flag); },
+                         std::string("unknown argument '") + flag + "'");
+    }
 }
 
 TEST(ConfigValidate, WatchdogKnobParsesAndValidates)

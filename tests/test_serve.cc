@@ -6,7 +6,7 @@
  * tolerance, the job table, and then a real Daemon on a temp Unix
  * socket — submit/status round trips, queue-full backpressure,
  * cancel of queued and running jobs, deadline expiry, command drain,
- * and journal-driven restart recovery. Signal handlers stay
+ * journal-driven restart recovery, and connection-thread reaping. Signal handlers stay
  * uninstalled (installSignals=false); drains are driven through the
  * same requestDrain() path the handlers use. The whole file runs under
  * ThreadSanitizer in CI to police the daemon's locking.
@@ -660,6 +660,27 @@ TEST(ServeDaemon, RestartRecoversJournaledJobs)
     // Settled: a further restart owes nothing.
     EXPECT_TRUE(
         JobJournal::loadPending(tmp.path() + "/jobs.journal").empty());
+}
+
+TEST(ServeDaemon, FinishedConnectionThreadsAreJoined)
+{
+    // Every client connection gets its own thread. The accept loop
+    // must join finished ones as it goes; otherwise one-shot clients
+    // pile up unjoined threads (and their stacks) until thread
+    // creation fails.
+    DaemonFixture d;
+    for (int i = 0; i < 2000; ++i)
+        ASSERT_NE(d.rpc(R"({"cmd":"ping"})").find("\"ok\":true"),
+                  std::string::npos)
+            << "ping " << i;
+    const JsonValue v = d.rpcJson(R"({"cmd":"ping"})");
+    const JsonValue *threads = v.find("conn_threads");
+    ASSERT_NE(threads, nullptr) << "ping must report conn_threads";
+    EXPECT_GE(threads->number, 1.0) << "the asking connection is live";
+    EXPECT_LT(threads->number, 16.0)
+        << "finished connection threads are not being joined";
+    EXPECT_TRUE(d.drain().flag("drained"));
+    EXPECT_EQ(d.exitCode(), 0);
 }
 
 TEST(ServeDaemon, SignalDrainExitsInterrupted)
