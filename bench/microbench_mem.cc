@@ -2,9 +2,9 @@
  * @file
  * Throughput micro-benchmarks (google-benchmark) for the simulator
  * hot-path overhaul, each run with both implementations: every
- * benchmark takes the fastPath knob as its argument (0 = reference,
- * 1 = optimized), so `--benchmark_filter=...` output shows the two
- * side by side. The pairs are bit-exact (tests/test_fastpath_equiv.cc);
+ * benchmark takes the simulator-path bit as its argument (0 =
+ * reference, 1 = optimized), so `--benchmark_filter=...` output shows
+ * the two side by side. The pairs are bit-exact (tests/test_fastpath_equiv.cc);
  * these benchmarks measure only how fast the identical answer is
  * produced. scripts/run_perf.py measures the end-to-end analogue on
  * the figure benches.
@@ -88,8 +88,7 @@ BM_CacheHitStream(benchmark::State &state)
     cfg.lineBytes = 64;
     cfg.ways = 4;
     cfg.numMshrs = 16;
-    cfg.fastPath = state.range(0) != 0;
-    Cache cache("bm", cfg, 4, backing);
+    Cache cache("bm", cfg, 4, backing, state.range(0) != 0);
 
     Rng rng;
     Cycle now = 0;
@@ -118,8 +117,7 @@ BM_CacheMshrPressure(benchmark::State &state)
     cfg.lineBytes = 64;
     cfg.ways = 2;
     cfg.numMshrs = 4;
-    cfg.fastPath = state.range(0) != 0;
-    Cache cache("bm", cfg, 4, backing);
+    Cache cache("bm", cfg, 4, backing, state.range(0) != 0);
 
     Rng rng;
     Cycle base = 0;
@@ -140,9 +138,7 @@ BENCHMARK(BM_CacheMshrPressure)->Arg(0)->Arg(1);
 void
 BM_DramStream(benchmark::State &state)
 {
-    DramConfig cfg;
-    cfg.fastPath = state.range(0) != 0;
-    Dram dram(cfg);
+    Dram dram(DramConfig{}, state.range(0) != 0);
     Rng rng;
     Cycle now = 0;
     Addr row_base = 0;
@@ -164,8 +160,8 @@ void
 BM_HierarchyTextureRead(benchmark::State &state)
 {
     GpuConfig cfg;
-    // MemHierarchy propagates the master knob into every cache/DRAM
-    // config it instantiates.
+    // MemHierarchy hands the knob to every cache and the DRAM it
+    // instantiates.
     cfg.simFastPath = state.range(0) != 0;
     MemHierarchy mem(cfg);
 

@@ -16,7 +16,12 @@
 
 namespace dtexl {
 
-/** Geometry/size/latency parameters of one cache (Table II rows). */
+/**
+ * Geometry/size/latency parameters of one cache (Table II rows).
+ * Modelled hardware only: which simulator implementation runs it is
+ * GpuConfig::simFastPath, which MemHierarchy hands to every Cache and
+ * the Dram at construction.
+ */
 struct CacheConfig
 {
     std::uint32_t sizeBytes = 0;
@@ -24,17 +29,6 @@ struct CacheConfig
     std::uint32_t ways = 4;
     std::uint32_t hitLatency = 1;   ///< cycles
     std::uint32_t numMshrs = 16;    ///< outstanding misses
-    /**
-     * Simulator implementation selector, not a hardware parameter:
-     * true uses the optimized hot path (bounded MSHR interval ring
-     * with early-exit occupancy checks, one-entry last-line-hit fast
-     * path in front of the way loop, contiguous port-window storage);
-     * false uses the original straight-line reference implementation.
-     * The two are bit-exact (tests/test_fastpath_equiv.cc); the
-     * reference path exists only to verify that, mirroring the
-     * engine's rebuild-pipeline-each-frame knob.
-     */
-    bool fastPath = true;
     /**
      * Next-line prefetch on demand miss (the decoupled-access
      * direction of Arnau et al. [2], cited by the paper as orthogonal
@@ -54,8 +48,6 @@ struct DramConfig
     std::uint32_t rowHitLatency = 50;    ///< cycles, open-row access
     std::uint32_t rowMissLatency = 100;  ///< cycles, row activate + access
     std::uint32_t bytesPerCycle = 16;    ///< channel bandwidth
-    /** Simulator hot-path selector; see CacheConfig::fastPath. */
-    bool fastPath = true;
 };
 
 /**
@@ -104,15 +96,18 @@ struct GpuConfig
      */
     bool transactionElimination = false;
     /**
-     * Master simulator hot-path knob (not a modelled-hardware
-     * parameter). True selects the optimized per-cycle simulation
-     * path everywhere — cache MSHR/lookup fast paths, contiguous
-     * port-window storage, the shader-core event loop's cached
-     * next-event candidates, and the raster pipeline's pooled
-     * quad/flush arenas. False selects the original reference
-     * implementations. Both produce bit-identical FrameStats and
-     * imageHash (enforced by tests/test_fastpath_equiv.cc); toggle
-     * with the `fastpath` key of applyConfigOption() or
+     * Simulator hot-path knob (not a modelled-hardware parameter),
+     * the only one: MemHierarchy passes it to every cache and the
+     * DRAM. True selects the optimized path everywhere — the cache
+     * last-line-hit filter and MSHR early exit, the fixed
+     * power-of-two port-window ring, the shader-core event loop's
+     * cached next-event candidates, and the raster pipeline's pooled
+     * quad/flush arenas. False selects the reference implementations
+     * (deque port windows, plain way loop, full MSHR scan, per-event
+     * re-pick). Both paths share the per-line pending-fill state and
+     * the DRAM bank intervals. They produce bit-identical FrameStats
+     * and imageHash (enforced by tests/test_fastpath_equiv.cc);
+     * toggle with the `fastpath` key of applyConfigOption() or
      * `--reference-path` on the bench binaries for A/B validation.
      */
     bool simFastPath = true;

@@ -38,13 +38,6 @@ faultSiteFromString(const std::string &name)
         name.c_str());
 }
 
-FaultInject &
-FaultInject::global()
-{
-    static FaultInject instance;
-    return instance;
-}
-
 void
 FaultInject::arm(FaultSite site, std::uint32_t count,
                  std::uint32_t skipFirst)

@@ -58,7 +58,8 @@ inline constexpr Cycle kFaultStallCycle = Cycle{1} << 62;
 class FaultInject
 {
   public:
-    static FaultInject &global();
+    /** The process-wide harness (inline: hooks sit on hot paths). */
+    static FaultInject &global() { return instance_; }
 
     /**
      * Arm @p site to fire on @p count hook evaluations after first
@@ -89,8 +90,10 @@ class FaultInject
     std::uint64_t fired(FaultSite site) const;
 
   private:
-    FaultInject() = default;
+    constexpr FaultInject() = default;
     bool fireSlow(FaultSite site);
+
+    static FaultInject instance_;
 
     static constexpr std::size_t kSites =
         static_cast<std::size_t>(FaultSite::kNumSites);
@@ -101,6 +104,9 @@ class FaultInject
     std::atomic<std::uint32_t> skips_[kSites] = {};
     std::atomic<std::uint64_t> fired_[kSites] = {};
 };
+
+/** Constant-initialized, so no guard on access and no init order. */
+constinit inline FaultInject FaultInject::instance_;
 
 /** RAII arm/disarm for tests: arms in ctor, disarms ALL sites in dtor. */
 class ScopedFault

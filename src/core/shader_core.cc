@@ -185,6 +185,24 @@ struct ShaderCore::CoreRun
     {
         if (activeCount == 0)
             return nullptr;
+        const WarpSched policy = core->cfg.warpScheduler;
+        if (policy == WarpSched::EarliestReady) {
+            // One pass: the issue cycle is never before the earliest
+            // ready cycle, so the earliest-ready warp (lowest batch
+            // index on ties) is always eligible, and it is the pick.
+            Warp *best = nullptr;
+            for (Warp &w : warps) {
+                if (w.active &&
+                    (!best || w.readyAt < best->readyAt ||
+                     (w.readyAt == best->readyAt &&
+                      w.batchIndex < best->batchIndex))) {
+                    best = &w;
+                }
+            }
+            cycle = std::max(best->readyAt, nextIssueAt);
+            return best;
+        }
+
         // Earliest feasible issue cycle across all active warps.
         Cycle min_ready = kCycleNever;
         for (const Warp &w : warps)
@@ -192,32 +210,16 @@ struct ShaderCore::CoreRun
                 min_ready = std::min(min_ready, w.readyAt);
         cycle = std::max(min_ready, nextIssueAt);
 
-        const WarpSched policy = core->cfg.warpScheduler;
         if (policy == WarpSched::Greedy && lastIssued &&
             lastIssued->active && lastIssued->readyAt <= cycle) {
             return lastIssued;
         }
+        // OldestFirst, and Greedy's fallback: the oldest ready warp.
         Warp *best = nullptr;
         for (Warp &w : warps) {
-            if (!w.active || w.readyAt > cycle)
-                continue;
-            if (!best) {
+            if (w.active && w.readyAt <= cycle &&
+                (!best || w.batchIndex < best->batchIndex)) {
                 best = &w;
-                continue;
-            }
-            switch (policy) {
-              case WarpSched::EarliestReady:
-                if (w.readyAt < best->readyAt ||
-                    (w.readyAt == best->readyAt &&
-                     w.batchIndex < best->batchIndex)) {
-                    best = &w;
-                }
-                break;
-              case WarpSched::OldestFirst:
-              case WarpSched::Greedy:  // greedy falls back to oldest
-                if (w.batchIndex < best->batchIndex)
-                    best = &w;
-                break;
             }
         }
         dtexl_assert(best, "no eligible warp at its own ready time");
@@ -316,13 +318,10 @@ ShaderCore::dumpRuns(const std::vector<CoreRun> &runs, Cycle progress)
  * which no legitimate latency chain can reach.
  */
 void
-ShaderCore::checkForwardProgress(const std::vector<CoreRun> &runs,
-                                 Cycle budget, Cycle progress,
-                                 Cycle next_event)
+ShaderCore::throwNoProgress(const std::vector<CoreRun> &runs,
+                            Cycle budget, Cycle progress,
+                            Cycle next_event)
 {
-    if (budget == 0 || next_event <= progress ||
-        next_event - progress <= budget)
-        return;
     std::ostringstream msg;
     msg << "no forward progress: next shader-core event at cycle "
         << next_event << " is " << (next_event - progress)

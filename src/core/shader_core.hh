@@ -150,11 +150,20 @@ class ShaderCore
     /**
      * Watchdog: throw SimError{Watchdog} with a dump when the next
      * event sits more than @p budget cycles past the last one
-     * (budget 0 = disabled).
+     * (budget 0 = disabled). Runs once per event, so the no-fault
+     * check is inline and the throw out of line.
      */
-    static void checkForwardProgress(const std::vector<CoreRun> &runs,
-                                     Cycle budget, Cycle progress,
-                                     Cycle next_event);
+    static void
+    checkForwardProgress(const std::vector<CoreRun> &runs, Cycle budget,
+                         Cycle progress, Cycle next_event)
+    {
+        if (budget != 0 && next_event > progress &&
+            next_event - progress > budget) [[unlikely]]
+            throwNoProgress(runs, budget, progress, next_event);
+    }
+    [[noreturn, gnu::cold]] static void
+    throwNoProgress(const std::vector<CoreRun> &runs, Cycle budget,
+                    Cycle progress, Cycle next_event);
 
     /** Issue the warp's next instruction at @p cycle; updates state. */
     void issueInstruction(Warp &warp, Cycle cycle);

@@ -9,10 +9,12 @@
 namespace dtexl {
 
 Cache::Cache(std::string name, const CacheConfig &cfg,
-             std::uint32_t accesses_per_cycle, MemLevel &next)
+             std::uint32_t accesses_per_cycle, MemLevel &next,
+             bool fast_path)
     : name(std::move(name)), cfg(cfg), portsPerCycle(accesses_per_cycle),
-      nextLevel(next), lines(std::size_t{cfg.numSets()} * cfg.ways),
-      port(accesses_per_cycle * kPortWindow, kPortWindow, cfg.fastPath),
+      nextLevel(next), fast(fast_path),
+      lines(std::size_t{cfg.numSets()} * cfg.ways),
+      port(accesses_per_cycle * kPortWindow, kPortWindow, fast_path),
       stats_(this->name)
 {
     dtexl_assert(portsPerCycle > 0);
@@ -92,7 +94,7 @@ Cache::acquireMshr(Cycle ready)
     // access's (earlier) timestamp. Both hot-path settings therefore
     // purge at exactly the same points — unconditionally, here.
     purgeMshrs(ready);
-    if (cfg.fastPath) {
+    if (fast) {
         // Early exit, bit-exact with the scan below: with fewer
         // retained intervals than MSHRs, every window the scan could
         // count is under capacity, so the access starts at `ready`.
@@ -140,7 +142,7 @@ Cache::lookup(Addr line_addr, AccessType type)
     // One-entry last-hit filter: a line address lives in exactly one
     // way of exactly one set, so a tag match here returns precisely
     // the line the way loop below would find.
-    if (cfg.fastPath && lastHit && lastHit->valid &&
+    if (fast && lastHit && lastHit->valid &&
         lastHit->tag == line_addr) {
         lastHit->lruStamp = ++lruCounter;
         if (type == AccessType::Write)
@@ -169,21 +171,15 @@ Cache::access(Addr addr, AccessType type, Cycle now)
 
     const Cycle start = arbitratePort(now);
 
-    // One pending-fill lookup serves both the lazy retire and the
-    // hit-under-fill check below (the double find showed in profiles).
-    auto pending = pendingFills.find(la);
-    if (pending != pendingFills.end() && pending->second <= start) {
-        pendingFills.erase(pending);
-        pending = pendingFills.end();
-    }
-
     if (Line *line = lookup(la, type)) {
-        (void)line;
         Cycle done = start + cfg.hitLatency;
-        if (pending != pendingFills.end()) {
+        if (line->fillAt > start) {
             ++*hot.hitUnderFill;
-            done = std::max(done, pending->second);
+            done = std::max(done, line->fillAt);
         } else {
+            // Lazy retire: from here on the line counts as filled,
+            // even for a later access with an earlier timestamp.
+            line->fillAt = 0;
             ++*(type == AccessType::Read ? hot.readHit : hot.writeHit);
         }
         return done;
@@ -199,25 +195,22 @@ Cache::access(Addr addr, AccessType type, Cycle now)
         ++*hot.writeback;
         nextLevel.access(victim.tag, AccessType::Write, issue);
     }
-    if (victim.valid)
-        pendingFills.erase(victim.tag);
 
     Cycle fill = nextLevel.access(la, AccessType::Read, issue);
     victim.valid = true;
     victim.tag = la;
     victim.dirty = (type == AccessType::Write);
     victim.lruStamp = ++lruCounter;
+    victim.fillAt = fill;
     lastHit = &victim;
-    pendingFills[la] = fill;
     mshrIntervals.push_back({issue, fill});
 
     // Optional next-line prefetch: ride the demand miss with a fetch
     // of the following line (the next Morton block of the texture),
-    // if it is not already resident or in flight.
+    // if it is not already resident (a line in flight is resident).
     if (cfg.prefetchNextLine) {
         const Addr nla = la + cfg.lineBytes;
-        if (!contains(nla) && pendingFills.find(nla) ==
-                                  pendingFills.end()) {
+        if (!contains(nla)) {
             ++*hot.prefetchIssued;
             const Cycle pf_issue = acquireMshr(issue);
             Line &pf_victim = findVictim(setIndex(nla));
@@ -226,15 +219,13 @@ Cache::access(Addr addr, AccessType type, Cycle now)
                 nextLevel.access(pf_victim.tag, AccessType::Write,
                                  pf_issue);
             }
-            if (pf_victim.valid)
-                pendingFills.erase(pf_victim.tag);
             const Cycle pf_fill =
                 nextLevel.access(nla, AccessType::Read, pf_issue);
             pf_victim.valid = true;
             pf_victim.tag = nla;
             pf_victim.dirty = false;
             pf_victim.lruStamp = ++lruCounter;
-            pendingFills[nla] = pf_fill;
+            pf_victim.fillAt = pf_fill;
             mshrIntervals.push_back({pf_issue, pf_fill});
         }
     }
@@ -248,6 +239,8 @@ Cache::writeLine(Addr addr, Cycle now)
     ++*hot.write;
 
     const Cycle start = arbitratePort(now);
+    // A hit leaves any pending fill in place: the store merges into
+    // the outstanding miss, and a read before fillAt still waits.
     if (lookup(la, AccessType::Write)) {
         ++*hot.writeHit;
         return start + cfg.hitLatency;
@@ -263,12 +256,11 @@ Cache::writeLine(Addr addr, Cycle now)
         nextLevel.access(victim.tag, AccessType::Write,
                          start + cfg.hitLatency);
     }
-    if (victim.valid)
-        pendingFills.erase(victim.tag);
     victim.valid = true;
     victim.tag = la;
     victim.dirty = true;
     victim.lruStamp = ++lruCounter;
+    victim.fillAt = 0;
     lastHit = &victim;
     return start + cfg.hitLatency;
 }
@@ -289,7 +281,8 @@ Cache::contains(Addr addr) const
 void
 Cache::resetTiming()
 {
-    pendingFills.clear();
+    for (Line &l : lines)
+        l.fillAt = 0;
     mshrIntervals.clear();
     port.clear();
     // lastHit stays warm like the tags: it only short-circuits the
@@ -336,7 +329,6 @@ Cache::flushAll()
 {
     for (Line &l : lines)
         l = Line{};
-    pendingFills.clear();
     mshrIntervals.clear();
     lastHit = nullptr;
     lruCounter = 0;
@@ -346,8 +338,10 @@ Cache::flushAll()
 std::string
 Cache::dumpInFlight() const
 {
-    std::string s = name + ": " +
-                    std::to_string(pendingFills.size()) +
+    std::size_t pending = 0;
+    for (const Line &l : lines)
+        pending += l.fillAt != 0 ? 1 : 0;
+    std::string s = name + ": " + std::to_string(pending) +
                     " pending fill(s), " +
                     std::to_string(mshrIntervals.size()) +
                     " MSHR interval(s)";

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hh"
@@ -30,7 +29,7 @@ class ByteWriter;
  * (secondary misses cost no extra downstream traffic). Dirty victims
  * write back to the next level.
  */
-class Cache : public MemLevel
+class Cache final : public MemLevel
 {
   public:
     /**
@@ -38,9 +37,16 @@ class Cache : public MemLevel
      * @param cfg  Geometry and latency.
      * @param accesses_per_cycle Port throughput (banked caches >1).
      * @param next Lower level servicing misses and write-backs.
+     * @param fast_path Simulator implementation, not a hardware
+     *        parameter (GpuConfig::simFastPath): true adds the
+     *        one-entry last-line-hit filter in front of the way loop,
+     *        the MSHR early exit and the ring port window; false runs
+     *        the straight-line reference. Bit-exact either way
+     *        (tests/test_fastpath_equiv.cc).
      */
     Cache(std::string name, const CacheConfig &cfg,
-          std::uint32_t accesses_per_cycle, MemLevel &next);
+          std::uint32_t accesses_per_cycle, MemLevel &next,
+          bool fast_path = true);
 
     Cycle access(Addr addr, AccessType type, Cycle now) override;
 
@@ -75,9 +81,9 @@ class Cache : public MemLevel
     void flushAll();
 
     /**
-     * Reset timing state only (ports, MSHRs, pending fills), keeping
-     * tag contents warm. Used between frames: each frame restarts its
-     * cycle count at zero.
+     * Reset timing state only (ports, MSHRs, the lines' pending
+     * fills), keeping tag contents warm. Used between frames: each
+     * frame restarts its cycle count at zero.
      */
     void resetTiming();
 
@@ -101,8 +107,8 @@ class Cache : public MemLevel
     StatSet &stats() { return stats_; }
 
     /**
-     * One-line summary of in-flight miss state (pending fills and
-     * MSHR intervals) for the watchdog's crash report.
+     * One-line summary of in-flight miss state (lines with a pending
+     * fill, MSHR intervals) for the watchdog's crash report.
      */
     std::string dumpInFlight() const;
 
@@ -135,6 +141,14 @@ class Cache : public MemLevel
         bool valid = false;
         bool dirty = false;
         std::uint64_t lruStamp = 0;
+        /**
+         * Cycle the line's fill completes; 0 = no fill pending. Set
+         * when a miss or prefetch allocates the line, cleared lazily
+         * by the first access at or after it (accesses before it are
+         * hits under fill) and by resetTiming(). Timing state, so not
+         * part of the warm-state checkpoint.
+         */
+        Cycle fillAt = 0;
     };
 
     Addr lineAddr(Addr a) const { return a & ~Addr{cfg.lineBytes - 1}; }
@@ -154,6 +168,7 @@ class Cache : public MemLevel
     CacheConfig cfg;
     std::uint32_t portsPerCycle;
     MemLevel &nextLevel;
+    bool fast;  ///< simulator path; see the constructor
 
     std::vector<Line> lines;      ///< numSets * ways, set-major
     std::uint64_t lruCounter = 0;
@@ -165,14 +180,6 @@ class Cache : public MemLevel
      * line the way loop would find — bit-exact by construction.
      */
     Line *lastHit = nullptr;
-
-    /**
-     * Pending line fills: line address -> fill completion cycle. Only
-     * ever point-queried (find/erase/insert), so the hash container is
-     * invisible to results; it replaces a std::map that showed up in
-     * profiles at one find per access.
-     */
-    std::unordered_map<Addr, Cycle> pendingFills;
 
     /**
      * In-flight miss intervals [start, fill). MSHR capacity is

@@ -6,12 +6,12 @@
 
 namespace dtexl {
 
-Dram::Dram(const DramConfig &cfg)
+Dram::Dram(const DramConfig &cfg, bool fast_path)
     : cfg(cfg), banks(cfg.numBanks),
       channel(kChannelWindow,
               kChannelWindow *
                   std::max<Cycle>(1, 64 / cfg.bytesPerCycle),
-              cfg.fastPath),
+              fast_path),
       stats_("dram")
 {
     dtexl_assert(cfg.numBanks > 0 && cfg.rowBytes > 0);

@@ -26,7 +26,11 @@ namespace dtexl {
 class Dram : public MemLevel
 {
   public:
-    explicit Dram(const DramConfig &cfg);
+    /**
+     * @param fast_path Channel window implementation (see RateWindow;
+     *        GpuConfig::simFastPath), not a hardware parameter.
+     */
+    explicit Dram(const DramConfig &cfg, bool fast_path = true);
 
     Cycle access(Addr addr, AccessType type, Cycle now) override;
 

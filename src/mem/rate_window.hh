@@ -10,20 +10,22 @@
  * `window`-cycle span — by searching the recorded start times.
  *
  * Two implementations live behind the `fast_path` constructor flag
- * (see CacheConfig::fastPath): the reference one keeps the history in
- * a std::deque exactly as originally written, the fast one keeps it
- * in a contiguous ring (a vector with a dead prefix) so the binary
- * search and window scans run on cache-friendly memory, with an O(1)
- * append check for the common in-order case. Both grant bit-identical
- * start cycles for any request sequence (tests/test_rate_window.cc,
- * tests/test_fastpath_equiv.cc).
+ * (GpuConfig::simFastPath, handed down by MemHierarchy): the reference
+ * one keeps the history in a std::deque exactly as originally written,
+ * the fast one keeps it in a fixed power-of-two ring, allocated once,
+ * so the binary search and window scans run on contiguous memory with
+ * no compaction, with an O(1) append check for the common in-order
+ * case. Both grant bit-identical start cycles for any request sequence
+ * (tests/test_rate_window.cc, tests/test_fastpath_equiv.cc).
  */
 
 #ifndef DTEXL_MEM_RATE_WINDOW_HH
 #define DTEXL_MEM_RATE_WINDOW_HH
 
 #include <algorithm>
+#include <bit>
 #include <deque>
+#include <ranges>
 #include <vector>
 
 #include "common/log.hh"
@@ -38,14 +40,19 @@ class RateWindow
     /**
      * @param capacity  Reservations allowed per window.
      * @param window    Window length in cycles.
-     * @param fast_path Contiguous-storage implementation (default) or
-     *                  the deque reference implementation.
+     * @param fast_path Ring-storage implementation (default) or the
+     *                  deque reference implementation.
      */
     RateWindow(std::uint32_t capacity, Cycle window,
                bool fast_path = true)
         : cap(capacity), win(window), fast(fast_path)
     {
         dtexl_assert(capacity > 0 && window > 0);
+        if (fast) {
+            ring.resize(std::bit_ceil(std::size_t{capacity} *
+                                      (kHorizonWindows + 2)));
+            mask = ring.size() - 1;
+        }
     }
 
     /**
@@ -70,8 +77,8 @@ class RateWindow
     clear()
     {
         starts.clear();
-        ring.clear();
         head = 0;
+        count = 0;
     }
 
   private:
@@ -144,63 +151,55 @@ class RateWindow
     }
 
     /**
-     * Same algorithm on contiguous storage: `ring` holds the sorted
-     * history in [head, ring.size()), pruning advances `head`, and the
-     * dead prefix is compacted in bulk. Appends (the in-order common
-     * case) skip the binary search entirely.
+     * Same algorithm on the ring: the sorted live history is the
+     * `count` entries from physical slot `head` on, pruning advances
+     * `head`. Appends (the in-order common case) skip the binary
+     * search entirely.
+     *
+     * The ring never fills. After pruning, every live entry lies
+     * within win * kHorizonWindows + 1 cycles of the newest, a span
+     * covered by kHorizonWindows + 1 windows, and the invariant allows
+     * at most cap entries per window; the request adds one more. So
+     * at most cap * (kHorizonWindows + 1) + 1 entries are ever live,
+     * fewer than the cap * (kHorizonWindows + 2) slots allocated.
      */
     Cycle
     reserveFast(Cycle now, bool &stalled)
     {
-        const std::size_t live = ring.size() - head;
-        if (live > 0) {
-            const Cycle newest = ring.back();
+        if (count > 0) {
+            const Cycle newest = at(count - 1);
             const Cycle horizon = win * kHorizonWindows;
-            while (head < ring.size() &&
-                   ring[head] + horizon < newest) {
-                ++head;
-            }
-            // Compact once the dead prefix dominates; amortized O(1).
-            if (head > 1024 && head * 2 > ring.size()) {
-                ring.erase(ring.begin(),
-                           ring.begin() +
-                               static_cast<std::ptrdiff_t>(head));
-                head = 0;
+            while (ring[head] + horizon < newest) {
+                head = (head + 1) & mask;
+                --count;
             }
         }
 
         stalled = false;
-        const Cycle *base = ring.data() + head;
+        const std::size_t n = count;
         Cycle start = now;
-        {
-            // Append fast path, O(1): with nothing after `start`, the
-            // only candidate run the k loop below could flag is `start`
-            // plus the newest `cap` entries (k = cap is the only k with
-            // first + cap <= n), so the whole violation scan collapses
-            // to one comparison against base[n - cap]. After one
-            // advance to base[n - cap] + win the run spans exactly
-            // `win` cycles — no violation — and `start` only grew, so
-            // the append precondition still holds.
-            const std::size_t n = ring.size() - head;
-            if (n == 0 || start >= base[n - 1]) {
-                if (n >= cap && start < base[n - cap] + win) {
-                    stalled = true;
-                    start = base[n - cap] + win;
-                }
-                ring.push_back(start);
-                return start;
+        // Append fast path, O(1): with nothing after `start`, the
+        // only candidate run the k loop below could flag is `start`
+        // plus the newest `cap` entries (k = cap is the only k with
+        // first + cap <= n), so the whole violation scan collapses to
+        // one comparison against at(n - cap). After one advance to
+        // at(n - cap) + win the run spans exactly `win` cycles — no
+        // violation — and `start` only grew, so the append
+        // precondition still holds.
+        if (n == 0 || start >= at(n - 1)) {
+            if (n >= cap && start < at(n - cap) + win) {
+                stalled = true;
+                start = at(n - cap) + win;
             }
+            insertAt(n, start);
+            return start;
         }
         for (;;) {
-            const std::size_t n = ring.size() - head;
-            // Append fast path: nothing after `start`, so the only
-            // candidate run is `start` plus the newest cap entries.
-            std::size_t idx;
-            if (n == 0 || start >= base[n - 1]) {
-                idx = n;
-            } else {
-                idx = static_cast<std::size_t>(
-                    std::lower_bound(base, base + n, start) - base);
+            std::size_t idx = n;
+            if (start < at(n - 1)) {
+                idx = *std::ranges::partition_point(
+                    std::views::iota(std::size_t{0}, n),
+                    [&](std::size_t i) { return at(i) < start; });
             }
             bool violates = false;
             Cycle retry = start;
@@ -212,9 +211,9 @@ class RateWindow
                 if (last > n)
                     continue;
                 const Cycle run_first =
-                    k > 0 ? std::min(base[first], start) : start;
+                    k > 0 ? std::min(at(first), start) : start;
                 const Cycle run_last =
-                    last > first ? std::max(base[last - 1], start)
+                    last > first ? std::max(at(last - 1), start)
                                  : start;
                 if (run_last - run_first < win) {
                     violates = true;
@@ -222,14 +221,7 @@ class RateWindow
                 }
             }
             if (!violates) {
-                if (idx == n) {
-                    ring.push_back(start);
-                } else {
-                    ring.insert(ring.begin() +
-                                    static_cast<std::ptrdiff_t>(
-                                        head + idx),
-                                start);
-                }
+                insertAt(idx, start);
                 return start;
             }
             stalled = true;
@@ -238,12 +230,28 @@ class RateWindow
         }
     }
 
+    /** Live entry @p i, oldest first. */
+    Cycle at(std::size_t i) const { return ring[(head + i) & mask]; }
+
+    /** Insert @p v as live entry @p idx, shifting the newer ones up. */
+    void
+    insertAt(std::size_t idx, Cycle v)
+    {
+        dtexl_assert(count < ring.size(), "port window ring overflow");
+        for (std::size_t i = count; i > idx; --i)
+            ring[(head + i) & mask] = ring[(head + i - 1) & mask];
+        ring[(head + idx) & mask] = v;
+        ++count;
+    }
+
     std::uint32_t cap;
     Cycle win;
     bool fast;
     std::deque<Cycle> starts;   ///< reference history, sorted
-    std::vector<Cycle> ring;    ///< fast history; live part sorted
-    std::size_t head = 0;       ///< first live entry of `ring`
+    std::vector<Cycle> ring;    ///< fast history, power-of-two slots
+    std::size_t mask = 0;       ///< ring.size() - 1
+    std::size_t head = 0;       ///< physical slot of the oldest entry
+    std::size_t count = 0;      ///< live entries, sorted from `head`
 };
 
 /**
@@ -266,20 +274,22 @@ class IntervalResource
         while (busy.size() > 64)
             busy.pop_front();
 
-        Cycle start = now;
-        for (const auto &[s, e] : busy) {
-            if (e <= start)
-                continue;
-            if (s >= start + duration)
-                break;  // fits in the gap before this interval
-            start = e;
-        }
-        // Insert sorted by start.
-        auto it = std::lower_bound(
-            busy.begin(), busy.end(), start,
-            [](const std::pair<Cycle, Cycle> &iv, Cycle v) {
-                return iv.first < v;
+        // The intervals are sorted and disjoint, so their ends are
+        // sorted too: the ones ending at or before `now` are a prefix,
+        // found by binary search instead of a scan.
+        auto it = std::partition_point(
+            busy.begin(), busy.end(),
+            [now](const std::pair<Cycle, Cycle> &iv) {
+                return iv.second <= now;
             });
+        Cycle start = now;
+        for (; it != busy.end(); ++it) {
+            if (it->first >= start + duration)
+                break;  // fits in the gap before this interval
+            start = it->second;
+        }
+        // Every interval before `it` ends at or before `start` and
+        // `it` starts after it, so `it` is the sorted insert position.
         busy.insert(it, {start, start + duration});
         return start;
     }

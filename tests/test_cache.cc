@@ -313,6 +313,71 @@ TEST(Cache, ResetTimingKeepsContents)
     EXPECT_EQ(t, 1u);
 }
 
+/**
+ * The pending fill lives on the line and retires lazily, at the first
+ * access at or after its fill cycle. So the outcome follows simulation
+ * order, not only timestamps: once the fill retires, an access with an
+ * earlier timestamp is a plain hit. A writeLine hit leaves the fill
+ * pending. Both simulator paths share this state.
+ */
+TEST(Cache, LazyFillRetireIsOrderSensitive)
+{
+    for (const bool fast : {true, false}) {
+        SCOPED_TRACE(fast ? "fast path" : "reference path");
+        FakeMem mem(100);
+        Cache c("t", smallCache(), 4, mem, fast);
+
+        const Cycle fill = c.access(0x000, AccessType::Read, 0);
+        ASSERT_EQ(fill, 101u);
+        // At the fill cycle: a hit, which retires the fill.
+        EXPECT_EQ(c.access(0x000, AccessType::Read, fill), fill + 1);
+        EXPECT_EQ(c.stats().get("read_hit"), 1u);
+        // Earlier timestamp, later in simulation order: still a plain
+        // hit at hit latency, not a hit under fill.
+        EXPECT_EQ(c.access(0x000, AccessType::Read, 10), 11u);
+        EXPECT_EQ(c.stats().get("read_hit"), 2u);
+        EXPECT_EQ(c.stats().get("hit_under_fill"), 0u);
+
+        // A writeLine hit on a line still filling keeps its fill: the
+        // next read before the fill cycle waits for it.
+        const Cycle fill2 = c.access(0x040, AccessType::Read, 0);
+        ASSERT_EQ(fill2, 101u);
+        EXPECT_EQ(c.writeLine(0x040, 5), 6u);
+        EXPECT_EQ(c.stats().get("write_hit"), 1u);
+        EXPECT_EQ(c.access(0x040, AccessType::Read, 10), fill2);
+        EXPECT_EQ(c.stats().get("hit_under_fill"), 1u);
+    }
+}
+
+/**
+ * The watchdog's crash report lists each level's in-flight state: a
+ * cold miss leaves one pending fill and one MSHR interval, and a
+ * timing reset clears both while the line stays resident.
+ */
+TEST(Cache, DumpInFlightCountsPendingFills)
+{
+    for (const bool fast : {true, false}) {
+        SCOPED_TRACE(fast ? "fast path" : "reference path");
+        FakeMem mem(100);
+        Cache c("t", smallCache(), 4, mem, fast);
+        EXPECT_EQ(c.dumpInFlight(),
+                  "t: 0 pending fill(s), 0 MSHR interval(s)");
+
+        c.access(0x000, AccessType::Read, 0);
+        EXPECT_EQ(c.dumpInFlight(),
+                  "t: 1 pending fill(s), 1 MSHR interval(s), "
+                  "last fill at 101");
+
+        c.resetTiming();
+        EXPECT_EQ(c.dumpInFlight(),
+                  "t: 0 pending fill(s), 0 MSHR interval(s)");
+        EXPECT_TRUE(c.contains(0x000));
+        // No fill is pending any more: an early access is a plain hit.
+        EXPECT_EQ(c.access(0x000, AccessType::Read, 0), 1u);
+        EXPECT_EQ(c.stats().get("hit_under_fill"), 0u);
+    }
+}
+
 TEST(Cache, MissRateAccounting)
 {
     FakeMem mem(10);

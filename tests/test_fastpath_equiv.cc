@@ -299,6 +299,50 @@ TEST(FastPathEquiv, RateWindowFuzz)
         bool s1 = false, s2 = false;
         EXPECT_EQ(fast.reserve(5, s1), ref.reserve(5, s2));
     }
+
+    // Ring shapes. The fast history is a fixed ring of
+    // bit_ceil(cap * 66) slots that never fills (rate_window.hh).
+    // These streams wrap it many times, alternate saturating bursts
+    // (requests just behind the newest grant, so every window of the
+    // horizon is full and the ring holds its maximum) with drifting
+    // traffic, and clear it mid-burst, with the live entries straddling
+    // the ring's end.
+    const struct
+    {
+        std::uint32_t cap;
+        Cycle win;
+    } ring_shapes[] = {{1, 1}, {3, 5}, {7, 64}, {32, 8}, {5, 1000}};
+
+    for (const auto &shape : ring_shapes) {
+        RateWindow fast(shape.cap, shape.win, true);
+        RateWindow ref(shape.cap, shape.win, false);
+        Cycle base = 0;
+        Cycle newest = 0;
+        for (int i = 0; i < 20000; ++i) {
+            if (i == 10000 + 777) {
+                fast.clear();
+                ref.clear();
+                base = newest = 0;
+            }
+            Cycle now;
+            if ((i / 2048) % 2 == 0) {
+                const Cycle back = next() % (4 * shape.win + 1);
+                now = newest > back ? newest - back : Cycle{0};
+                base = newest;
+            } else {
+                base += next() % 3;
+                const Cycle jitter = next() % (2 * shape.win + 1);
+                now = base > jitter ? base - jitter : Cycle{0};
+            }
+            bool fast_stalled = false, ref_stalled = false;
+            const Cycle a = fast.reserve(now, fast_stalled);
+            const Cycle b = ref.reserve(now, ref_stalled);
+            ASSERT_EQ(a, b) << "ring cap=" << shape.cap
+                            << " win=" << shape.win << " i=" << i;
+            ASSERT_EQ(fast_stalled, ref_stalled) << "i=" << i;
+            newest = std::max(newest, a);
+        }
+    }
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -165,6 +167,88 @@ TEST(IntervalResource, ClearResets)
     res.reserve(0, 100);
     res.clear();
     EXPECT_EQ(res.reserve(0, 10), 0u);
+}
+
+/**
+ * The original IntervalResource, which starts its scan at the first
+ * interval instead of binary-searching the ends: the oracle for the
+ * fuzz below.
+ */
+class LinearScanIntervals
+{
+  public:
+    Cycle
+    reserve(Cycle now, Cycle duration)
+    {
+        while (busy.size() > 64)
+            busy.pop_front();
+        Cycle start = now;
+        for (const auto &[s, e] : busy) {
+            if (e <= start)
+                continue;
+            if (s >= start + duration)
+                break;
+            start = e;
+        }
+        auto it = std::lower_bound(
+            busy.begin(), busy.end(), start,
+            [](const std::pair<Cycle, Cycle> &iv, Cycle v) {
+                return iv.first < v;
+            });
+        busy.insert(it, {start, start + duration});
+        return start;
+    }
+
+    void clear() { busy.clear(); }
+
+  private:
+    std::deque<std::pair<Cycle, Cycle>> busy;
+};
+
+/**
+ * Out-of-order request streams, far more than the 64 retained
+ * intervals, must get the oracle's start cycle every time, also across
+ * a clear() in the middle of the stream.
+ */
+TEST(IntervalResource, FuzzMatchesLinearScanOracle)
+{
+    const struct
+    {
+        Cycle maxDuration;
+        Cycle jitter;  ///< how far a request may precede the drift
+    } shapes[] = {{1, 0}, {4, 16}, {51, 200}, {8, 2000}, {150, 40}};
+
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        for (const auto &shape : shapes) {
+            Rng rng(seed);
+            IntervalResource res;
+            LinearScanIntervals oracle;
+            Cycle base = 0;
+            for (int i = 0; i < 6000; ++i) {
+                if (i == 3000) {
+                    res.clear();
+                    oracle.clear();
+                }
+                base += rng.nextBounded(4);
+                // Now and then a far jump, or a request older than
+                // every retained interval.
+                if (rng.nextBounded(256) == 0)
+                    base += 10 * shape.maxDuration;
+                Cycle now = base - std::min<Cycle>(
+                                       base, rng.nextBounded(
+                                                 shape.jitter + 1));
+                if (rng.nextBounded(128) == 0)
+                    now = 0;
+                const Cycle duration =
+                    1 + rng.nextBounded(shape.maxDuration);
+                ASSERT_EQ(res.reserve(now, duration),
+                          oracle.reserve(now, duration))
+                    << "seed " << seed << " duration<="
+                    << shape.maxDuration << " jitter " << shape.jitter
+                    << " request " << i;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -61,12 +63,22 @@ struct Counter
 class TraceOutput : public ::testing::Test
 {
   protected:
-    static constexpr const char *kPath = "test_trace_out.json";
+    /**
+     * ctest runs every test of this fixture as its own process, in
+     * parallel under -j, so each process needs its own trace file.
+     */
+    static const std::string &
+    tracePath()
+    {
+        static const std::string path =
+            "test_trace_out." + std::to_string(::getpid()) + ".json";
+        return path;
+    }
 
     static void
     SetUpTestSuite()
     {
-        TraceWriter::global().enable(kPath);
+        TraceWriter::global().enable(tracePath());
 
         GpuConfig cfg;
         cfg.screenWidth = 256;
@@ -96,7 +108,7 @@ class TraceOutput : public ::testing::Test
         results() = runBatch(jobs, 2, registry());
         TraceWriter::global().flush();
 
-        std::ifstream in(kPath, std::ios::binary);
+        std::ifstream in(tracePath(), std::ios::binary);
         std::ostringstream os;
         os << in.rdbuf();
         text() = os.str();
@@ -107,7 +119,10 @@ class TraceOutput : public ::testing::Test
     {
         delete registry();
         registry() = nullptr;
-        std::remove(kPath);
+        // An empty path makes the exit-time flush a no-op, so the
+        // file stays removed.
+        TraceWriter::global().enable("");
+        std::remove(tracePath().c_str());
     }
 
     static StatRegistry *&
